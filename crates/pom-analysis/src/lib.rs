@@ -18,7 +18,7 @@
 //! [`pom_mpisim::SimTrace`] and model [`pom_core::PomRun`]), [`desync`]
 //! the wavefront/resync diagnostics, [`stats`] the small regression
 //! toolbox used by the speed fits, and [`compare`] the model-vs-simulator
-//! agreement verdicts that EXPERIMENTS.md reports.
+//! agreement verdicts the `pom-bench` reproduction binaries report.
 
 pub mod compare;
 pub mod desync;

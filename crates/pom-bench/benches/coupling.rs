@@ -1,5 +1,5 @@
-//! Criterion bench: CSR sparse vs dense topology coupling sum
-//! (DESIGN.md §8 ablation) and potential evaluation cost.
+//! Criterion bench: CSR sparse vs dense topology coupling sum (the
+//! sparse-storage ablation) and potential evaluation cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pom_core::Potential;

@@ -1,7 +1,7 @@
 //! Criterion bench: integrator cost on the oscillator model — adaptive
-//! Dopri5 vs fixed-step RK4 at matched spans, across system sizes
-//! (DESIGN.md §8 ablation "adaptive vs fixed-step at matched accuracy") —
-//! plus the raw RK4 hot loop, legacy (per-step allocation + dyn dispatch)
+//! Dopri5 vs fixed-step RK4 at matched spans, across system sizes (the
+//! "adaptive vs fixed-step at matched accuracy" ablation) — plus the raw
+//! RK4 hot loop, legacy (per-step allocation + dyn dispatch)
 //! vs the workspace fast path. `bench_steps` (a `pom-bench` binary) emits
 //! the same comparison as JSON for the `BENCH_*.json` records.
 

@@ -1,12 +1,11 @@
 //! Shared harness for the per-figure reproduction binaries.
 //!
-//! Every `repro_*` binary regenerates one table/figure of the paper (see
-//! DESIGN.md §3 for the experiment index) and:
+//! Every `repro_*` binary regenerates one table/figure of the paper and:
 //!
 //! 1. prints the series as an aligned text table to stdout,
 //! 2. writes CSV (and, where it makes sense, SVG) into `target/repro/`,
 //! 3. prints a `VERDICT:` line summarizing how the measured shape relates
-//!    to the paper's claim — EXPERIMENTS.md collects these.
+//!    to the paper's claim.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -229,7 +228,8 @@ pub fn header(id: &str, claim: &str) {
     println!("================================================================");
 }
 
-/// Print the final verdict line (grepped by EXPERIMENTS.md tooling).
+/// Print the final `VERDICT:` line (a `DEVIATES` verdict is a
+/// regression signal).
 pub fn verdict(ok: bool, detail: &str) {
     println!(
         "VERDICT: {} — {detail}",

@@ -260,6 +260,7 @@ impl PomBuilder {
             stencil,
             pool: pool_eligible.then(|| ChunkPool::new(threads)),
             split_scratch: Default::default(),
+            team_split: Default::default(),
         };
         pom.coupling_cache = (0..pom.params.n)
             .map(|i| pom.compute_coupling_scale(i))

@@ -40,6 +40,8 @@
 //! (`Tanh`) fall back to the exact per-pair math under this kernel and
 //! still benefit from flat-CSR iteration and chunked parallelism.
 
+use std::cell::UnsafeCell;
+
 use pom_topology::{CsrView, RingStencil};
 
 /// Selects how the oscillator coupling sum is evaluated.
@@ -117,6 +119,55 @@ impl SplitScratch {
         }
         let (s, c) = self.buf.split_at_mut(n);
         (s, &mut c[..n])
+    }
+}
+
+/// `sin`/`cos` arrays shared by a row team within one step job: each
+/// member fills its own rows in `prepare_rows`, and after a barrier every
+/// member reads any row in `eval_rows`. There is no lock — the row-hook
+/// contract of `pom_ode::OdeSystem` (one team job at a time, disjoint
+/// rows, barriers between the phases) keeps the accesses apart.
+pub(crate) struct TeamSplitScratch {
+    s: Box<[UnsafeCell<f64>]>,
+    c: Box<[UnsafeCell<f64>]>,
+}
+
+// SAFETY: shared access is governed by the row-hook contract above.
+unsafe impl Sync for TeamSplitScratch {}
+
+impl TeamSplitScratch {
+    /// Arrays for `n` oscillators.
+    pub(crate) fn new(n: usize) -> Self {
+        let zeros = || (0..n).map(|_| UnsafeCell::new(0.0)).collect();
+        Self {
+            s: zeros(),
+            c: zeros(),
+        }
+    }
+
+    /// The `sin` and `cos` entries of `rows`, mutably.
+    ///
+    /// # Safety
+    /// No other live borrow of these arrays (on any thread) overlaps
+    /// `rows`.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn rows_mut(&self, rows: std::ops::Range<usize>) -> (&mut [f64], &mut [f64]) {
+        let part = |a: &[UnsafeCell<f64>]| {
+            let a = &a[rows.clone()];
+            std::slice::from_raw_parts_mut(UnsafeCell::raw_get(a.as_ptr()), a.len())
+        };
+        (part(&self.s), part(&self.c))
+    }
+
+    /// Both arrays in full, shared.
+    ///
+    /// # Safety
+    /// No live borrow from [`TeamSplitScratch::rows_mut`] exists.
+    pub(crate) unsafe fn all(&self) -> (&[f64], &[f64]) {
+        let whole = |a: &[UnsafeCell<f64>]| {
+            std::slice::from_raw_parts(UnsafeCell::raw_get(a.as_ptr()) as *const f64, a.len())
+        };
+        (whole(&self.s), whole(&self.c))
     }
 }
 

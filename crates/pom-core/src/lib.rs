@@ -74,7 +74,7 @@ pub use continuum::{front_speed_estimate, transport_coefficients, TransportCoeff
 pub use ensemble::PomEnsemble;
 pub use initial::InitialCondition;
 pub use kernel::RhsKernel;
-pub use model::{Normalization, Pom};
+pub use model::{Normalization, Pom, MIN_PAR_ROWS};
 pub use observables::{
     adjacent_differences, lagger_normalized, order_parameter, phase_spread, winding_number,
 };

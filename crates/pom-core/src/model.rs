@@ -1,23 +1,34 @@
 //! The coupled-oscillator system itself: Eq. (2) as an `OdeSystem`/`DdeSystem`.
 
 use std::f64::consts::TAU;
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use pom_kernels::par::{ChunkPool, DisjointSliceMut};
 use pom_noise::{InteractionNoise, LocalNoise};
 use pom_ode::dde::{DdeSystem, PhaseHistory};
-use pom_ode::OdeSystem;
+use pom_ode::{OdeSystem, RowTeam};
 use pom_topology::{RingStencil, Topology};
 
-use crate::kernel::{self, DesyncPair, RhsKernel, SinPair, SplitScratch};
+use crate::kernel::{self, DesyncPair, RhsKernel, SinPair, SplitScratch, TeamSplitScratch};
 use crate::params::PomParams;
 use crate::potential::Potential;
 
-/// Below this row count the fork–join hand-off costs more than the chunked
-/// work saves; the RHS then runs inline even when a pool is configured
-/// (and the builder skips spawning pool threads entirely — a sweep
+/// Smallest model that gets a row-block team: below it, `rhs_threads > 1`
+/// still evaluates inline and the builder spawns no threads (a sweep
 /// building thousands of small models must not churn OS threads).
-pub(crate) const MIN_PAR_ROWS: usize = 2048;
+///
+/// Measured, not guessed: `pom simulate potential=desync sigma=3
+/// kernel=sincos observe=1 init=spread t_end=20` with the team forced on
+/// at every size, `rhs-threads=2` against `=1`, 12 interleaved pairs on
+/// a 2-CPU x86-64 host (AVX2+FMA). The team breaks even at n = 1024
+/// (1.07× median) and gains from n = 2048 up (1.31×; 1.39× at 4096,
+/// 1.61× at 8192, 1.58× at 16384). Per step a member's share of the
+/// work, ~65 ns per row serially, has to outweigh the fixed
+/// synchronization cost — one hand-off plus eleven barriers per attempt,
+/// a few microseconds — and the serial remainder on the leader; twice
+/// the break-even size keeps the team clear of the noisy region.
+pub const MIN_PAR_ROWS: usize = 2048;
 
 /// Normalization of the coupling sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,7 +40,7 @@ pub enum Normalization {
     ByN,
     /// Divide by the oscillator's degree — an extension that keeps the
     /// per-neighbor coupling independent of system size (used by the
-    /// scaling ablation; documented in DESIGN.md §8).
+    /// scaling ablation and the Fig. 2 presets).
     ByDegree,
 }
 
@@ -59,14 +70,21 @@ pub struct Pom {
     /// Index-free ring description, present when the topology is a
     /// periodic ring — the split kernel's neighbor fast path.
     pub(crate) stencil: Option<RingStencil>,
-    /// Worker pool splitting one RHS evaluation across cores (absent for
-    /// the default serial configuration).
+    /// Row-block team: whole Dopri5 step attempts run on it through the
+    /// row hooks, other solvers split single evaluations across it
+    /// (absent for the default serial configuration).
     pub(crate) pool: Option<ChunkPool>,
-    /// `sin`/`cos` arrays for the split kernel. The ODE contract evaluates
-    /// the RHS through `&self`, so the scratch sits behind a mutex; the
-    /// lock is uncontended (one integration drives one model at a time)
-    /// and is taken once per evaluation, not per oscillator.
+    /// `sin`/`cos` arrays for the split kernel's inline (team-less)
+    /// evaluation. The ODE contract evaluates the RHS through `&self`, so
+    /// the scratch sits behind a mutex; the lock is uncontended (one
+    /// integration drives one model at a time) and is taken once per
+    /// evaluation, not per oscillator.
     pub(crate) split_scratch: Mutex<SplitScratch>,
+    /// The split kernel's `sin`/`cos` arrays for team jobs (every
+    /// evaluation of a model with a pool goes through
+    /// `prepare_rows`/`eval_rows`), allocated by the first `row_team`
+    /// call of a model with a pool and a split kernel.
+    pub(crate) team_split: OnceLock<TeamSplitScratch>,
 }
 
 impl std::fmt::Debug for Pom {
@@ -148,9 +166,9 @@ impl Pom {
         self.kernel
     }
 
-    /// Configured thread fan-out for a single RHS evaluation (1 = serial).
-    /// Models below the internal ~2k-row threshold always evaluate inline,
-    /// whatever this reports.
+    /// Configured thread fan-out for a single step (1 = serial). Models
+    /// below [`MIN_PAR_ROWS`] rows always evaluate inline, whatever this
+    /// reports.
     pub fn rhs_threads(&self) -> usize {
         self.rhs_threads
     }
@@ -189,109 +207,44 @@ impl Pom {
         }
     }
 
-    /// Reference (`RhsKernel::Exact`) row loop: one fused pass computing
-    /// `intrinsic + scale_i · Σ_j V(θ_j − θ_i)` per row, the potential's
-    /// parameters hoisted into `v` (monomorphized per shape by
-    /// [`Pom::rhs_ode`]). Per-element operations — and therefore results —
-    /// are bitwise identical to the historical fill-then-accumulate pair
-    /// of passes, while touching `dtheta` once instead of twice.
-    #[inline]
-    fn exact_rows(&self, t: f64, theta: &[f64], dtheta: &mut [f64], v: impl Fn(f64) -> f64 + Sync) {
-        let csr = self.topology.csr();
-        let noise_free = self.local_noise.is_null();
-        let omega = TAU / self.params.cycle_time().max(self.min_cycle);
-        self.for_row_chunks(dtheta, |start, out| {
-            for (slot, d) in out.iter_mut().enumerate() {
-                let i = start + slot;
-                let theta_i = theta[i];
-                let mut coupling = 0.0;
-                for &j in csr.row(i) {
-                    coupling += v(theta[j as usize] - theta_i);
-                }
-                let intrinsic = if noise_free {
-                    omega
-                } else {
-                    self.intrinsic(i, t)
-                };
-                *d = intrinsic + self.coupling_cache[i] * coupling;
-            }
-        });
-    }
-
-    /// Split-kernel row loop: phase 1 fills `sin(kθ)`/`cos(kθ)` arrays
-    /// (one vectorized pass, chunked over the pool), phase 2 accumulates
-    /// the coupling sums from the arrays — via the index-free ring stencil
-    /// when the topology has one, else the flat CSR — and fuses in the
-    /// intrinsic term and coupling prefactor.
-    fn split_rows<P: kernel::PairTerm>(
-        &self,
-        p: P,
-        k: f64,
-        t: f64,
-        theta: &[f64],
-        dtheta: &mut [f64],
-    ) {
-        let n = self.params.n;
-        let mut guard = self.split_scratch.lock().expect("split scratch");
-        let (s, c) = guard.halves(n);
-
-        match &self.pool {
-            Some(pool) if n >= MIN_PAR_ROWS => {
-                let s_shared = DisjointSliceMut::new(s);
-                let c_shared = DisjointSliceMut::new(c);
-                pool.run(n, &|_slot, range| {
-                    // SAFETY: disjoint ranges per slot (ChunkPool::run).
-                    let (s_chunk, c_chunk) = unsafe {
-                        (
-                            s_shared.range_mut(range.clone()),
-                            c_shared.range_mut(range.clone()),
-                        )
-                    };
-                    kernel::sincos_pass(k, &theta[range], s_chunk, c_chunk);
-                });
-            }
-            _ => kernel::sincos_pass(k, &theta[..n], s, c),
-        }
-
-        let (s, c) = (&*s, &*c);
-        let noise_free = self.local_noise.is_null();
-        let omega = TAU / self.params.cycle_time().max(self.min_cycle);
-        let stencil = self.stencil.as_ref();
-        let csr = self.topology.csr();
-        self.for_row_chunks(dtheta, |start, out| {
-            let rows = start..start + out.len();
-            match stencil {
-                Some(st) => kernel::split_rows_stencil(p, st, theta, s, c, rows.clone(), out),
-                None => kernel::split_rows_csr(p, csr, theta, s, c, rows.clone(), out),
-            }
-            if noise_free {
-                kernel::finalize_rows(omega, &self.coupling_cache[rows], out);
-            } else {
-                for (slot, d) in out.iter_mut().enumerate() {
-                    let i = start + slot;
-                    *d = self.intrinsic(i, t) + self.coupling_cache[i] * *d;
-                }
-            }
-        });
-    }
-
-    /// Shared RHS for the no-delay path, dispatching on the kernel
-    /// selection. `SinCosSplit` applies to the sine-structured potentials
+    /// `Some(k)` when the split kernel applies: the wavenumber of its
+    /// sin/cos pass. `SinCosSplit` covers the sine-structured potentials
     /// (`KuramotoSin` and the sine branch of `Desync`); `Tanh` has no
     /// angle-addition split and falls back to the exact per-pair math.
-    fn rhs_ode(&self, t: f64, theta: &[f64], dtheta: &mut [f64]) {
+    fn split_wavenumber(&self) -> Option<f64> {
+        match (self.kernel, self.potential) {
+            (RhsKernel::SinCosSplit, Potential::KuramotoSin) => Some(1.0),
+            (RhsKernel::SinCosSplit, Potential::Desync { sigma }) => {
+                Some(1.5 * std::f64::consts::PI / sigma)
+            }
+            _ => None,
+        }
+    }
+
+    /// Coupling walk and finalize for a contiguous block of rows
+    /// (`out[i - rows.start]`), dispatching on the kernel selection. Split
+    /// kernels read the `sin`/`cos` arrays `s`/`c` of every row; the exact
+    /// kernels ignore them. The per-row arithmetic does not depend on the
+    /// block, so any split of `0..n` gives bitwise identical results.
+    fn rows_block(
+        &self,
+        t: f64,
+        theta: &[f64],
+        (s, c): (&[f64], &[f64]),
+        rows: Range<usize>,
+        out: &mut [f64],
+    ) {
         match (self.kernel, self.potential) {
             (RhsKernel::SinCosSplit, Potential::KuramotoSin) => {
-                self.split_rows(SinPair, 1.0, t, theta, dtheta);
+                self.split_block(SinPair, t, theta, (s, c), rows, out);
             }
             (RhsKernel::SinCosSplit, Potential::Desync { sigma }) => {
-                let k = 1.5 * std::f64::consts::PI / sigma;
-                self.split_rows(DesyncPair { sigma }, k, t, theta, dtheta);
+                self.split_block(DesyncPair { sigma }, t, theta, (s, c), rows, out);
             }
-            (_, Potential::Tanh) => self.exact_rows(t, theta, dtheta, |x| x.tanh()),
+            (_, Potential::Tanh) => self.exact_block(t, theta, rows, out, |x| x.tanh()),
             (_, Potential::Desync { sigma }) => {
                 let k = 1.5 * std::f64::consts::PI / sigma;
-                self.exact_rows(t, theta, dtheta, move |x| {
+                self.exact_block(t, theta, rows, out, move |x| {
                     if x.abs() < sigma {
                         -(k * x).sin()
                     } else {
@@ -299,8 +252,102 @@ impl Pom {
                     }
                 });
             }
-            (_, Potential::KuramotoSin) => self.exact_rows(t, theta, dtheta, |x| x.sin()),
+            (_, Potential::KuramotoSin) => self.exact_block(t, theta, rows, out, |x| x.sin()),
         }
+    }
+
+    /// Reference (`RhsKernel::Exact`) row loop: one fused pass computing
+    /// `intrinsic + scale_i · Σ_j V(θ_j − θ_i)` per row, the potential's
+    /// parameters hoisted into `v` (monomorphized per shape). Per-element
+    /// operations — and therefore results — are bitwise identical to the
+    /// historical fill-then-accumulate pair of passes, while touching
+    /// `dtheta` once instead of twice.
+    #[inline]
+    fn exact_block(
+        &self,
+        t: f64,
+        theta: &[f64],
+        rows: Range<usize>,
+        out: &mut [f64],
+        v: impl Fn(f64) -> f64,
+    ) {
+        let csr = self.topology.csr();
+        let noise_free = self.local_noise.is_null();
+        let omega = TAU / self.params.cycle_time().max(self.min_cycle);
+        for (d, i) in out.iter_mut().zip(rows) {
+            let theta_i = theta[i];
+            let mut coupling = 0.0;
+            for &j in csr.row(i) {
+                coupling += v(theta[j as usize] - theta_i);
+            }
+            let intrinsic = if noise_free {
+                omega
+            } else {
+                self.intrinsic(i, t)
+            };
+            *d = intrinsic + self.coupling_cache[i] * coupling;
+        }
+    }
+
+    /// Split-kernel row loop: accumulate the coupling sums from the
+    /// `sin`/`cos` arrays — via the index-free ring stencil when the
+    /// topology has one, else the flat CSR — and fuse in the intrinsic
+    /// term and coupling prefactor.
+    fn split_block<P: kernel::PairTerm>(
+        &self,
+        p: P,
+        t: f64,
+        theta: &[f64],
+        (s, c): (&[f64], &[f64]),
+        rows: Range<usize>,
+        out: &mut [f64],
+    ) {
+        match &self.stencil {
+            Some(st) => kernel::split_rows_stencil(p, st, theta, s, c, rows.clone(), out),
+            None => kernel::split_rows_csr(p, self.topology.csr(), theta, s, c, rows.clone(), out),
+        }
+        if self.local_noise.is_null() {
+            let omega = TAU / self.params.cycle_time().max(self.min_cycle);
+            kernel::finalize_rows(omega, &self.coupling_cache[rows], out);
+        } else {
+            for (d, i) in out.iter_mut().zip(rows) {
+                *d = self.intrinsic(i, t) + self.coupling_cache[i] * *d;
+            }
+        }
+    }
+
+    /// Shared RHS for the no-delay path. On the team it is one job over
+    /// the row hooks (each member prepares its rows, a barrier, then each
+    /// evaluates them); inline, the split kernels' sin/cos pass fills the
+    /// mutex-guarded scratch before the row loop.
+    fn rhs_ode(&self, t: f64, theta: &[f64], dtheta: &mut [f64]) {
+        let n = self.params.n;
+        if let Some(RowTeam { team, .. }) = self.row_team() {
+            let out = DisjointSliceMut::new(&mut dtheta[..n]);
+            team.run_team(n, &|m| {
+                let rows = m.range();
+                // SAFETY: the row-hook contract — `run_team` jobs run one
+                // at a time, members own disjoint rows, and the barrier
+                // separates every prepare from every eval.
+                unsafe {
+                    self.prepare_rows(t, &theta[rows.clone()], rows.clone());
+                    m.barrier();
+                    self.eval_rows(t, theta, rows.clone(), out.range_mut(rows));
+                }
+            });
+            return;
+        }
+        let mut guard;
+        let sc: (&[f64], &[f64]) = match self.split_wavenumber() {
+            Some(k) => {
+                guard = self.split_scratch.lock().expect("split scratch");
+                let (s, c) = guard.halves(n);
+                kernel::sincos_pass(k, &theta[..n], s, c);
+                (s, c)
+            }
+            None => (&[], &[]),
+        };
+        self.rows_block(t, theta, sc, 0..n, &mut dtheta[..n]);
     }
 
     /// Shared RHS for the delay path: partner phases are read from the
@@ -343,6 +390,36 @@ impl OdeSystem for Pom {
 
     fn eval(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
         self.rhs_ode(t, y, dydt);
+    }
+
+    fn row_team(&self) -> Option<RowTeam<'_>> {
+        let team = self.pool.as_ref()?;
+        if self.split_wavenumber().is_some() {
+            self.team_split
+                .get_or_init(|| TeamSplitScratch::new(self.params.n));
+        }
+        Some(RowTeam { team, sys: self })
+    }
+
+    unsafe fn prepare_rows(&self, _t: f64, y_rows: &[f64], rows: Range<usize>) {
+        if let (Some(k), Some(scratch)) = (self.split_wavenumber(), self.team_split.get()) {
+            // SAFETY: the row-hook contract — concurrent members prepare
+            // disjoint rows, and no member reads the arrays until the
+            // barrier that follows.
+            let (s, c) = scratch.rows_mut(rows);
+            kernel::sincos_pass(k, y_rows, s, c);
+        }
+    }
+
+    unsafe fn eval_rows(&self, t: f64, y: &[f64], rows: Range<usize>, dydt_rows: &mut [f64]) {
+        let sc = match self.team_split.get() {
+            // SAFETY: the row-hook contract — every member's
+            // `prepare_rows` returned before the barrier preceding this
+            // call, and none runs again before the next barrier.
+            Some(scratch) => scratch.all(),
+            None => (&[][..], &[][..]),
+        };
+        self.rows_block(t, y, sc, rows, dydt_rows);
     }
 }
 

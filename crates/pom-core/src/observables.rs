@@ -6,25 +6,72 @@
 //! baseline*; synchrony is quantified by the Kuramoto order parameter and
 //! by the phase spread.
 
+use pom_kernels::par::{ChunkPool, DisjointSliceMut};
+
+use crate::model::MIN_PAR_ROWS;
+
 /// Kuramoto order parameter `r ∈ [0, 1]` and mean phase `ψ`:
 /// `r·e^{iψ} = (1/N)·Σ_j e^{iθ_j}`.
 ///
 /// `r = 1` means perfect synchrony; `r ≈ 0` a uniformly spread
 /// (fully desynchronized) phase distribution.
 ///
+/// Inside a [`ChunkPool::install`] scope (a team-backed integration
+/// installs its model's team for its observers) the per-oscillator
+/// `cos`/`sin` fill runs on the team, into the team's scratch; the sums
+/// stay in ascending order on the calling thread, so the result is
+/// bitwise identical to the serial loop.
+///
 /// # Panics
 /// Panics on an empty slice.
 pub fn order_parameter(phases: &[f64]) -> (f64, f64) {
     assert!(!phases.is_empty(), "order parameter of an empty system");
     let n = phases.len() as f64;
-    let (mut re, mut im) = (0.0, 0.0);
-    for &p in phases {
-        re += p.cos();
-        im += p.sin();
-    }
+    let (mut re, mut im) = ChunkPool::with_installed(|team| match team {
+        Some(team) if team.threads() > 1 && phases.len() >= MIN_PAR_ROWS => {
+            team_cos_sin_sums(team, phases)
+        }
+        _ => {
+            let (mut re, mut im) = (0.0, 0.0);
+            for &p in phases {
+                re += p.cos();
+                im += p.sin();
+            }
+            (re, im)
+        }
+    });
     re /= n;
     im /= n;
     ((re * re + im * im).sqrt(), im.atan2(re))
+}
+
+/// `(Σ cos θ_j, Σ sin θ_j)` with the libm fill split over `team` and the
+/// sums taken in ascending order on the caller.
+fn team_cos_sin_sums(team: &ChunkPool, phases: &[f64]) -> (f64, f64) {
+    let n = phases.len();
+    team.with_scratch(2 * n, |buf| {
+        let (cos, sin) = buf.split_at_mut(n);
+        {
+            let (cos, sin) = (
+                DisjointSliceMut::new(&mut *cos),
+                DisjointSliceMut::new(&mut *sin),
+            );
+            team.run(n, &|_slot, rows| {
+                // SAFETY: `ChunkPool::run` hands each slot a disjoint range.
+                let (c, s) = unsafe { (cos.range_mut(rows.clone()), sin.range_mut(rows.clone())) };
+                for ((c, s), &p) in c.iter_mut().zip(s).zip(&phases[rows]) {
+                    *c = p.cos();
+                    *s = p.sin();
+                }
+            });
+        }
+        let (mut re, mut im) = (0.0, 0.0);
+        for (&c, &s) in cos.iter().zip(&*sin) {
+            re += c;
+            im += s;
+        }
+        (re, im)
+    })
 }
 
 /// Phase spread `max_i θ_i − min_i θ_i` (radians).

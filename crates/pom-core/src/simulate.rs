@@ -32,9 +32,9 @@ fn count_simulation() {
 /// Wraps the integrator [`Workspace`] so one allocation pool serves every
 /// solver path ([`SolverChoice::Dopri5`], [`SolverChoice::FixedRk4`], the
 /// DDE driver). Hold one per worker thread and pass it to
-/// [`Pom::simulate_with_ws`] / [`Pom::simulate_many`]; reuse never changes
-/// results (trajectories are bitwise identical to the fresh-workspace
-/// path).
+/// [`Pom::simulate_with_ws`] / [`Pom::simulate_observed_ws`]; reuse
+/// never changes results (trajectories are bitwise identical to the
+/// fresh-workspace path).
 #[derive(Debug, Clone, Default)]
 pub struct SimWorkspace {
     ode: Workspace,
@@ -283,22 +283,6 @@ impl Pom {
         opts: &SimOptions,
     ) -> Result<PomRun, OdeError> {
         self.simulate_with_ws(init, opts, &mut SimWorkspace::new())
-    }
-
-    /// Integrate an ensemble of initial conditions under the same options,
-    /// sharing one workspace across all members — the batched entry point
-    /// the sweep engine builds on. Results are identical to sequential
-    /// [`Pom::simulate_with`] calls; the first error aborts the batch.
-    pub fn simulate_many(
-        &self,
-        inits: &[InitialCondition],
-        opts: &SimOptions,
-    ) -> Result<Vec<PomRun>, OdeError> {
-        let mut ws = SimWorkspace::new();
-        inits
-            .iter()
-            .map(|init| self.simulate_with_ws(init.clone(), opts, &mut ws))
-            .collect()
     }
 
     /// Integrate with explicit [`SimOptions`] and caller-provided scratch

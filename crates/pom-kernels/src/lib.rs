@@ -24,9 +24,9 @@
 //! sanity-check the relative in-core costs the model assumes.
 
 //! The crate also hosts the repository's intra-run parallelism primitive,
-//! [`par::ChunkPool`] — a dependency-free fork–join pool used by the
-//! oscillator model's right-hand-side kernels to split one large-`N`
-//! evaluation across cores (it lives here, in the foundation layer,
+//! [`par::ChunkPool`] — a dependency-free persistent row-block team used
+//! by the adaptive solver and the oscillator model's kernels to split one
+//! large-`N` step across cores (it lives here, in the foundation layer,
 //! because it knows nothing about oscillators).
 
 pub mod contention;
@@ -37,5 +37,5 @@ pub mod scaling;
 
 pub use contention::{share_bandwidth, BandwidthShare};
 pub use kernel::{Kernel, SocketSpec};
-pub use par::{ChunkPool, DisjointSliceMut};
+pub use par::{ChunkPool, DisjointSliceMut, TeamMember};
 pub use scaling::{saturation_point, scaling_curve, ScalingPoint};

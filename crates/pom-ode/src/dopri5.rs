@@ -13,12 +13,30 @@
 //!   safety/clamp constants,
 //! * automatic initial step-size selection (Hairer's `hinit`),
 //! * fourth-order dense output collected into a [`DenseSolution`].
+//!
+//! A step attempt — six fresh stages plus the error norm — is one call of
+//! `attempt_rows` over a block of rows. Serially that block is every row.
+//! For a system with a row team ([`OdeSystem::row_team`]) each attempt
+//! is one team job: every member combines, prepares
+//! ([`OdeSystem::prepare_rows`]) and evaluates
+//! ([`OdeSystem::eval_rows`]) its own rows, meeting the
+//! others at two barriers per stage, and writes its `(e/sc)²` terms into
+//! the dead stage buffer. The leader sums those terms in ascending index
+//! order, so the error norm, the step sequence and the solution are
+//! bitwise identical for every team size. The team is installed
+//! ([`pom_kernels::par::ChunkPool::install`]) for the whole
+//! integration, so observers can use it too.
+
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use pom_kernels::par::{DisjointSliceMut, TeamMember};
 
 use crate::dense::{DenseSegment, DenseSolution};
 use crate::error::OdeError;
 use crate::observe::{ObservedSummary, StepObserver};
 use crate::workspace::Workspace;
-use crate::OdeSystem;
+use crate::{OdeSystem, RowTeam};
 
 // --- Butcher tableau (RK5(4)7M, Dormand & Prince 1980) ---
 
@@ -251,105 +269,75 @@ impl Dopri5 {
         let mut fac_old: f64 = 1e-4;
         let mut last_rejected = false;
 
-        loop {
-            if t >= t_end {
-                break;
-            }
-            if stats.n_accepted + stats.n_rejected >= self.max_steps {
-                return Err(OdeError::TooManySteps {
-                    t_reached: t,
-                    max_steps: self.max_steps,
-                });
-            }
-            // Don't overshoot; also avoid a microscopic final step by
-            // stretching slightly when within 1% of the end.
-            if t + 1.01 * h >= t_end {
-                h = t_end - t;
-            }
-            if h <= f64::EPSILON * t.abs().max(1.0) {
-                return Err(OdeError::StepSizeUnderflow { t, h });
-            }
-
-            // --- the 6 fresh stages ---
-            for i in 0..n {
-                y_stage[i] = y[i] + h * A21 * k1[i];
-            }
-            sys.eval(t + C2 * h, y_stage, k2);
-            for i in 0..n {
-                y_stage[i] = y[i] + h * (A31 * k1[i] + A32 * k2[i]);
-            }
-            sys.eval(t + C3 * h, y_stage, k3);
-            for i in 0..n {
-                y_stage[i] = y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i]);
-            }
-            sys.eval(t + C4 * h, y_stage, k4);
-            for i in 0..n {
-                y_stage[i] = y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i]);
-            }
-            sys.eval(t + C5 * h, y_stage, k5);
-            for i in 0..n {
-                y_stage[i] = y[i]
-                    + h * (A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i]);
-            }
-            sys.eval(t + h, y_stage, k6);
-            for i in 0..n {
-                y_new[i] = y[i]
-                    + h * (A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]);
-            }
-            sys.eval(t + h, y_new, k7);
-            stats.n_eval += 6;
-            check_finite(t, k7)?;
-
-            // --- error norm ---
-            let mut err_sq = 0.0;
-            for i in 0..n {
-                let e = h
-                    * (E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i] + E6 * k6[i] + E7 * k7[i]);
-                let sc = self.atol + self.rtol * y[i].abs().max(y_new[i].abs());
-                err_sq += (e / sc) * (e / sc);
-            }
-            let err = (err_sq / n as f64).sqrt();
-
-            // --- PI controller ---
-            let fac11 = err.powf(EXPO1);
-            let fac = (fac11 / fac_old.powf(BETA) / SAFETY).clamp(1.0 / FAC2, FAC1_INV);
-            let h_new = h / fac;
-
-            if err <= 1.0 {
-                // Accept: build the dense-output segment for [t, t+h] —
-                // one flat 5×n coefficient vector, the segment's storage.
-                fac_old = err.max(1e-4);
-                let mut rcont = vec![0.0; 5 * n];
-                for i in 0..n {
-                    let ydiff = y_new[i] - y[i];
-                    let bspl = h * k1[i] - ydiff;
-                    rcont[i] = y[i];
-                    rcont[n + i] = ydiff;
-                    rcont[2 * n + i] = bspl;
-                    rcont[3 * n + i] = ydiff - h * k7[i] - bspl;
-                    rcont[4 * n + i] = h
-                        * (D1 * k1[i]
-                            + D3 * k3[i]
-                            + D4 * k4[i]
-                            + D5 * k5[i]
-                            + D6 * k6[i]
-                            + D7 * k7[i]);
+        with_row_team(sys, |team| {
+            loop {
+                if t >= t_end {
+                    break;
                 }
-                segments.push(DenseSegment::from_flat(t, h, n, rcont));
+                if stats.n_accepted + stats.n_rejected >= self.max_steps {
+                    return Err(OdeError::TooManySteps {
+                        t_reached: t,
+                        max_steps: self.max_steps,
+                    });
+                }
+                // Don't overshoot; also avoid a microscopic final step by
+                // stretching slightly when within 1% of the end.
+                if t + 1.01 * h >= t_end {
+                    h = t_end - t;
+                }
+                if h <= f64::EPSILON * t.abs().max(1.0) {
+                    return Err(OdeError::StepSizeUnderflow { t, h });
+                }
 
-                t += h;
-                std::mem::swap(&mut y, &mut y_new);
-                std::mem::swap(&mut k1, &mut k7); // FSAL: swap the slice handles
-                stats.n_accepted += 1;
+                // --- the 6 fresh stages and the error norm ---
+                let k = [
+                    &mut *k1, &mut *k2, &mut *k3, &mut *k4, &mut *k5, &mut *k6, &mut *k7,
+                ];
+                let err = self.attempt(sys, team, t, h, y, k, y_stage, y_new)?;
+                stats.n_eval += 6;
 
-                h = if last_rejected { h_new.min(h) } else { h_new }.min(h_max);
-                last_rejected = false;
-            } else {
-                stats.n_rejected += 1;
-                last_rejected = true;
-                h /= (fac11 / SAFETY).min(FAC1_INV);
+                // --- PI controller ---
+                let fac11 = err.powf(EXPO1);
+                let fac = (fac11 / fac_old.powf(BETA) / SAFETY).clamp(1.0 / FAC2, FAC1_INV);
+                let h_new = h / fac;
+
+                if err <= 1.0 {
+                    // Accept: build the dense-output segment for [t, t+h] —
+                    // one flat 5×n coefficient vector, the segment's storage.
+                    fac_old = err.max(1e-4);
+                    let mut rcont = vec![0.0; 5 * n];
+                    for i in 0..n {
+                        let ydiff = y_new[i] - y[i];
+                        let bspl = h * k1[i] - ydiff;
+                        rcont[i] = y[i];
+                        rcont[n + i] = ydiff;
+                        rcont[2 * n + i] = bspl;
+                        rcont[3 * n + i] = ydiff - h * k7[i] - bspl;
+                        rcont[4 * n + i] = h
+                            * (D1 * k1[i]
+                                + D3 * k3[i]
+                                + D4 * k4[i]
+                                + D5 * k5[i]
+                                + D6 * k6[i]
+                                + D7 * k7[i]);
+                    }
+                    segments.push(DenseSegment::from_flat(t, h, n, rcont));
+
+                    t += h;
+                    std::mem::swap(&mut y, &mut y_new);
+                    std::mem::swap(&mut k1, &mut k7); // FSAL: swap the slice handles
+                    stats.n_accepted += 1;
+
+                    h = if last_rejected { h_new.min(h) } else { h_new }.min(h_max);
+                    last_rejected = false;
+                } else {
+                    stats.n_rejected += 1;
+                    last_rejected = true;
+                    h /= (fac11 / SAFETY).min(FAC1_INV);
+                }
             }
-        }
+            Ok(())
+        })?;
 
         let sol = DenseSolution::new(n, t0, t_end, y0.to_vec(), y.to_vec(), segments);
         crate::obs::flush_integration(
@@ -422,87 +410,57 @@ impl Dopri5 {
         let mut fac_old: f64 = 1e-4;
         let mut last_rejected = false;
 
-        obs.begin(t0, y);
-        loop {
-            if t >= t_end {
-                break;
-            }
-            if stats.n_accepted + stats.n_rejected >= self.max_steps {
-                return Err(OdeError::TooManySteps {
-                    t_reached: t,
-                    max_steps: self.max_steps,
-                });
-            }
-            if t + 1.01 * h >= t_end {
-                h = t_end - t;
-            }
-            if h <= f64::EPSILON * t.abs().max(1.0) {
-                return Err(OdeError::StepSizeUnderflow { t, h });
-            }
+        with_row_team(sys, |team| {
+            obs.begin(t0, y);
+            loop {
+                if t >= t_end {
+                    break;
+                }
+                if stats.n_accepted + stats.n_rejected >= self.max_steps {
+                    return Err(OdeError::TooManySteps {
+                        t_reached: t,
+                        max_steps: self.max_steps,
+                    });
+                }
+                if t + 1.01 * h >= t_end {
+                    h = t_end - t;
+                }
+                if h <= f64::EPSILON * t.abs().max(1.0) {
+                    return Err(OdeError::StepSizeUnderflow { t, h });
+                }
 
-            // --- the 6 fresh stages (identical to integrate_with) ---
-            for i in 0..n {
-                y_stage[i] = y[i] + h * A21 * k1[i];
-            }
-            sys.eval(t + C2 * h, y_stage, k2);
-            for i in 0..n {
-                y_stage[i] = y[i] + h * (A31 * k1[i] + A32 * k2[i]);
-            }
-            sys.eval(t + C3 * h, y_stage, k3);
-            for i in 0..n {
-                y_stage[i] = y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i]);
-            }
-            sys.eval(t + C4 * h, y_stage, k4);
-            for i in 0..n {
-                y_stage[i] = y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i]);
-            }
-            sys.eval(t + C5 * h, y_stage, k5);
-            for i in 0..n {
-                y_stage[i] = y[i]
-                    + h * (A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i]);
-            }
-            sys.eval(t + h, y_stage, k6);
-            for i in 0..n {
-                y_new[i] = y[i]
-                    + h * (A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]);
-            }
-            sys.eval(t + h, y_new, k7);
-            stats.n_eval += 6;
-            check_finite(t, k7)?;
+                // --- the 6 fresh stages and the error norm ---
+                let k = [
+                    &mut *k1, &mut *k2, &mut *k3, &mut *k4, &mut *k5, &mut *k6, &mut *k7,
+                ];
+                let err = self.attempt(sys, team, t, h, y, k, y_stage, y_new)?;
+                stats.n_eval += 6;
 
-            // --- error norm ---
-            let mut err_sq = 0.0;
-            for i in 0..n {
-                let e = h
-                    * (E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i] + E6 * k6[i] + E7 * k7[i]);
-                let sc = self.atol + self.rtol * y[i].abs().max(y_new[i].abs());
-                err_sq += (e / sc) * (e / sc);
+                // --- PI controller ---
+                let fac11 = err.powf(EXPO1);
+                let fac = (fac11 / fac_old.powf(BETA) / SAFETY).clamp(1.0 / FAC2, FAC1_INV);
+                let h_new = h / fac;
+
+                if err <= 1.0 {
+                    // Accept: no dense segment — the observer is the output.
+                    fac_old = err.max(1e-4);
+                    t += h;
+                    std::mem::swap(&mut y, &mut y_new);
+                    std::mem::swap(&mut k1, &mut k7); // FSAL: swap the slice handles
+                    stats.n_accepted += 1;
+                    obs.observe_step(t, y);
+
+                    h = if last_rejected { h_new.min(h) } else { h_new }.min(h_max);
+                    last_rejected = false;
+                } else {
+                    stats.n_rejected += 1;
+                    last_rejected = true;
+                    h /= (fac11 / SAFETY).min(FAC1_INV);
+                }
             }
-            let err = (err_sq / n as f64).sqrt();
-
-            // --- PI controller ---
-            let fac11 = err.powf(EXPO1);
-            let fac = (fac11 / fac_old.powf(BETA) / SAFETY).clamp(1.0 / FAC2, FAC1_INV);
-            let h_new = h / fac;
-
-            if err <= 1.0 {
-                // Accept: no dense segment — the observer is the output.
-                fac_old = err.max(1e-4);
-                t += h;
-                std::mem::swap(&mut y, &mut y_new);
-                std::mem::swap(&mut k1, &mut k7); // FSAL: swap the slice handles
-                stats.n_accepted += 1;
-                obs.observe_step(t, y);
-
-                h = if last_rejected { h_new.min(h) } else { h_new }.min(h_max);
-                last_rejected = false;
-            } else {
-                stats.n_rejected += 1;
-                last_rejected = true;
-                h /= (fac11 / SAFETY).min(FAC1_INV);
-            }
-        }
-        obs.finish(t, y);
+            obs.finish(t, y);
+            Ok(())
+        })?;
 
         // begin + every accepted step + finish observer callbacks.
         crate::obs::flush_integration(
@@ -522,23 +480,6 @@ impl Dopri5 {
         ))
     }
 
-    /// Integrate an ensemble of initial conditions over the same span,
-    /// reusing one workspace; returns one dense solution per member (in
-    /// input order). The first error aborts the batch.
-    pub fn integrate_many<S: OdeSystem + ?Sized>(
-        &self,
-        sys: &S,
-        t0: f64,
-        inits: &[Vec<f64>],
-        t_end: f64,
-        ws: &mut Workspace,
-    ) -> Result<Vec<DenseSolution>, OdeError> {
-        inits
-            .iter()
-            .map(|y0| self.integrate_with(sys, t0, y0, t_end, ws).map(|(s, _)| s))
-            .collect()
-    }
-
     /// Integrate, discarding the statistics.
     pub fn integrate(
         &self,
@@ -549,6 +490,72 @@ impl Dopri5 {
     ) -> Result<DenseSolution, OdeError> {
         self.integrate_with_stats(sys, t0, y0, t_end)
             .map(|(s, _)| s)
+    }
+
+    /// One step attempt from `(t, y)` with step `h`: the six fresh stages
+    /// into `k[1..7]` and `y_new`, and the weighted RMS error norm. With a
+    /// row team the attempt is one team job; otherwise it runs inline over
+    /// every row. Both drivers step through here.
+    #[allow(clippy::too_many_arguments)]
+    fn attempt<S: OdeSystem + ?Sized>(
+        &self,
+        sys: &S,
+        team: Option<RowTeam<'_>>,
+        t: f64,
+        h: f64,
+        y: &[f64],
+        k: [&mut [f64]; 7],
+        y_stage: &mut [f64],
+        y_new: &mut [f64],
+    ) -> Result<f64, OdeError> {
+        let n = y.len();
+        let tol = (self.atol, self.rtol);
+        let b = StepBufs {
+            y,
+            k: k.map(DisjointSliceMut::new),
+            y_stage: DisjointSliceMut::new(y_stage),
+            y_new: DisjointSliceMut::new(y_new),
+        };
+        let (lead_sum, lead_end) = match team {
+            // SAFETY: a single member owning every row.
+            None => (
+                unsafe { attempt_rows(&Whole(sys), &b, 0..n, (t, h), tol, false) },
+                n,
+            ),
+            Some(RowTeam { team, sys }) => {
+                // The leader (slot 0, this thread) owns the first block:
+                // it sums its own terms while the others store theirs.
+                // Only this thread touches the two cells, so `Relaxed`.
+                let lead_sum = AtomicU64::new(0);
+                let lead_end = AtomicUsize::new(0);
+                team.run_team(n, &|member| {
+                    let rows = member.range();
+                    let ev = Split { sys, member };
+                    let leader = member.slot() == 0;
+                    // SAFETY: members own the disjoint blocks of
+                    // `run_team`, and `Split` puts barriers between the
+                    // phases of every stage.
+                    let sum = unsafe { attempt_rows(&ev, &b, rows.clone(), (t, h), tol, !leader) };
+                    if leader {
+                        lead_sum.store(sum.to_bits(), Ordering::Relaxed);
+                        lead_end.store(rows.end, Ordering::Relaxed);
+                    }
+                });
+                (f64::from_bits(lead_sum.into_inner()), lead_end.into_inner())
+            }
+        };
+        // SAFETY: the job has joined; nothing else borrows the buffers.
+        let (rest, k7) = unsafe { (b.y_stage.range(lead_end..n), b.k[6].range(0..n)) };
+        let mut err_sq = lead_sum;
+        for &term in rest {
+            err_sq += term;
+        }
+        // A non-finite k7 makes its term, hence the sum, non-finite, so a
+        // finite sum needs no scan.
+        if !err_sq.is_finite() {
+            check_finite(t, k7)?;
+        }
+        Ok((err_sq / n as f64).sqrt())
     }
 
     /// Hairer's automatic initial-step heuristic: pick h so that an Euler
@@ -608,6 +615,178 @@ impl Dopri5 {
     }
 }
 
+/// Run `f` with the system's row team, when it has one of two or more
+/// threads, installed on this thread for the whole integration.
+fn with_row_team<S: OdeSystem + ?Sized, R>(sys: &S, f: impl FnOnce(Option<RowTeam<'_>>) -> R) -> R {
+    match sys.row_team().filter(|rt| rt.team.threads() > 1) {
+        Some(rt) => rt.team.install(|| f(Some(rt))),
+        None => f(None),
+    }
+}
+
+/// The n-vectors of one step attempt, shareable across a row team. Each
+/// member writes only its own rows and reads another member's rows only
+/// after a barrier.
+struct StepBufs<'a> {
+    y: &'a [f64],
+    k: [DisjointSliceMut<'a, f64>; 7],
+    y_stage: DisjointSliceMut<'a, f64>,
+    y_new: DisjointSliceMut<'a, f64>,
+}
+
+/// How a step attempt evaluates one stage's derivative for its rows.
+trait StageEval {
+    /// Write `f(t, y)[rows]` into `k[rows]`, where `y` is the whole stage
+    /// state. `last` marks the attempt's final stage, after which no
+    /// member rewrites a buffer another member reads.
+    ///
+    /// # Safety
+    /// This member's writes of `y[rows]` for the stage are complete, and
+    /// the calling convention of [`attempt_rows`] holds.
+    unsafe fn eval(
+        &self,
+        t: f64,
+        y: &DisjointSliceMut<'_, f64>,
+        k: &DisjointSliceMut<'_, f64>,
+        rows: Range<usize>,
+        last: bool,
+    );
+}
+
+/// The inline path: one member owning every row, plain [`OdeSystem::eval`].
+struct Whole<'s, S: ?Sized>(&'s S);
+
+impl<S: OdeSystem + ?Sized> StageEval for Whole<'_, S> {
+    #[inline(always)]
+    unsafe fn eval(
+        &self,
+        t: f64,
+        y: &DisjointSliceMut<'_, f64>,
+        k: &DisjointSliceMut<'_, f64>,
+        rows: Range<usize>,
+        _last: bool,
+    ) {
+        self.0.eval(t, y.range(rows.clone()), k.range_mut(rows));
+    }
+}
+
+/// The team path: prepare own rows, barrier, evaluate own rows, barrier
+/// (the trailing barrier keeps the next stage's writes of `y` and of the
+/// prepared row state away from rows other members still read).
+struct Split<'a, 'm> {
+    sys: &'a (dyn OdeSystem + Sync),
+    member: &'a TeamMember<'m>,
+}
+
+impl StageEval for Split<'_, '_> {
+    #[inline(always)]
+    unsafe fn eval(
+        &self,
+        t: f64,
+        y: &DisjointSliceMut<'_, f64>,
+        k: &DisjointSliceMut<'_, f64>,
+        rows: Range<usize>,
+        last: bool,
+    ) {
+        self.sys
+            .prepare_rows(t, y.range(rows.clone()), rows.clone());
+        self.member.barrier();
+        self.sys
+            .eval_rows(t, y.range(0..y.len()), rows.clone(), k.range_mut(rows));
+        if !last {
+            self.member.barrier();
+        }
+    }
+}
+
+/// One Dormand–Prince step attempt over `rows`: the six fresh stages into
+/// `k[1..7][rows]` and `y_new[rows]`, then the error terms `(e/sc)²`.
+/// Returns their sum in ascending row order; with `keep_terms` each term
+/// is also stored in `y_stage[rows]` (dead after the last stage) for the
+/// leader's ordered sum over all rows.
+///
+/// # Safety
+/// Concurrent calls cover disjoint `rows` of the same buffers and
+/// synchronize every stage through `ev`, so no member reads rows another
+/// member is writing.
+#[inline(always)]
+unsafe fn attempt_rows<E: StageEval>(
+    ev: &E,
+    b: &StepBufs<'_>,
+    rows: Range<usize>,
+    (t, h): (f64, f64),
+    (atol, rtol): (f64, f64),
+    keep_terms: bool,
+) -> f64 {
+    let y = &b.y[rows.clone()];
+    let [k1, k2, k3, k4, k5, k6, k7] = &b.k;
+    let k1 = k1.range(rows.clone());
+    let (ys, r) = (&b.y_stage, || rows.clone());
+    let k2 = stage(ev, ys, k2, r(), t + C2 * h, false, |i| {
+        y[i] + h * A21 * k1[i]
+    });
+    let k3 = stage(ev, ys, k3, r(), t + C3 * h, false, |i| {
+        y[i] + h * (A31 * k1[i] + A32 * k2[i])
+    });
+    let k4 = stage(ev, ys, k4, r(), t + C4 * h, false, |i| {
+        y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i])
+    });
+    let k5 = stage(ev, ys, k5, r(), t + C5 * h, false, |i| {
+        y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i])
+    });
+    let k6 = stage(ev, ys, k6, r(), t + h, false, |i| {
+        y[i] + h * (A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i])
+    });
+    let k7 = stage(ev, &b.y_new, k7, r(), t + h, true, |i| {
+        y[i] + h * (A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i])
+    });
+    let yn = b.y_new.range(r());
+
+    // --- error terms ---
+    let term = |i: usize| {
+        let e = h * (E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i] + E6 * k6[i] + E7 * k7[i]);
+        let sc = atol + rtol * y[i].abs().max(yn[i].abs());
+        (e / sc) * (e / sc)
+    };
+    let mut err_sq = 0.0;
+    if keep_terms {
+        let out = b.y_stage.range_mut(rows);
+        for (i, slot) in out.iter_mut().enumerate() {
+            let x = term(i);
+            *slot = x;
+            err_sq += x;
+        }
+    } else {
+        for i in 0..y.len() {
+            err_sq += term(i);
+        }
+    }
+    err_sq
+}
+
+/// One stage over this member's rows: `out[rows] = combine(i)` (`i`
+/// counts from the block start), then `k[rows] = f(t, out)[rows]`;
+/// returns `k[rows]`.
+///
+/// # Safety
+/// As for [`attempt_rows`].
+#[inline(always)]
+unsafe fn stage<'k, E: StageEval>(
+    ev: &E,
+    out: &DisjointSliceMut<'_, f64>,
+    k: &'k DisjointSliceMut<'_, f64>,
+    rows: Range<usize>,
+    t: f64,
+    last: bool,
+    combine: impl Fn(usize) -> f64,
+) -> &'k [f64] {
+    for (i, v) in out.range_mut(rows.clone()).iter_mut().enumerate() {
+        *v = combine(i);
+    }
+    ev.eval(t, out, k, rows.clone(), last);
+    k.range(rows)
+}
+
 fn check_finite(t: f64, v: &[f64]) -> Result<(), OdeError> {
     if let Some(bad) = v.iter().position(|x| !x.is_finite()) {
         return Err(OdeError::NonFiniteDerivative { t, component: bad });
@@ -618,7 +797,8 @@ fn check_finite(t: f64, v: &[f64]) -> Result<(), OdeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FnSystem;
+    use crate::{FnSystem, NoObserver};
+    use pom_kernels::par::ChunkPool;
     use std::f64::consts::TAU;
 
     fn decay() -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
@@ -783,6 +963,156 @@ mod tests {
         for seg in sol.segments() {
             assert!(seg.h() <= 0.05 * (1.0 + 1e-12));
         }
+    }
+
+    /// A row-split system outside the oscillator model: a ring of decays
+    /// `ẏᵢ = −yᵢ + ¼·(2·y_{i+1})`, where `2·yᵢ` is the per-row state
+    /// `prepare_rows` stores and `eval_rows` reads across block edges.
+    struct RowRing {
+        team: ChunkPool,
+        prepared: Vec<AtomicU64>,
+        /// Make a worker's `eval_rows` panic from this time on.
+        fail_from: Option<f64>,
+    }
+
+    impl RowRing {
+        fn new(n: usize, threads: usize, fail_from: Option<f64>) -> Self {
+            Self {
+                team: ChunkPool::new(threads),
+                prepared: (0..n).map(|_| AtomicU64::new(0)).collect(),
+                fail_from,
+            }
+        }
+    }
+
+    impl OdeSystem for RowRing {
+        fn dim(&self) -> usize {
+            self.prepared.len()
+        }
+        fn eval(&self, _t: f64, y: &[f64], d: &mut [f64]) {
+            let n = y.len();
+            for i in 0..n {
+                d[i] = -y[i] + 0.25 * (2.0 * y[(i + 1) % n]);
+            }
+        }
+        fn row_team(&self) -> Option<RowTeam<'_>> {
+            Some(RowTeam {
+                team: &self.team,
+                sys: self,
+            })
+        }
+        unsafe fn prepare_rows(&self, _t: f64, y_rows: &[f64], rows: Range<usize>) {
+            for (&y, i) in y_rows.iter().zip(rows) {
+                self.prepared[i].store((2.0 * y).to_bits(), Ordering::Relaxed);
+            }
+        }
+        unsafe fn eval_rows(&self, t: f64, y: &[f64], rows: Range<usize>, d: &mut [f64]) {
+            if self.fail_from.is_some_and(|t_fail| t >= t_fail) && rows.start > 0 {
+                panic!("row failure at t = {t}");
+            }
+            let n = y.len();
+            for (d, i) in d.iter_mut().zip(rows) {
+                let next = f64::from_bits(self.prepared[(i + 1) % n].load(Ordering::Relaxed));
+                *d = -y[i] + 0.25 * next;
+            }
+        }
+    }
+
+    fn ring_y0(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 1.0 + (i as f64 * 0.7).sin()).collect()
+    }
+
+    #[test]
+    fn row_team_is_bitwise_identical_to_serial_eval() {
+        let n = 37;
+        let serial = FnSystem::new(n, |t, y, d| RowRing::new(n, 1, None).eval(t, y, d));
+        let solver = Dopri5::new().rtol(1e-9).atol(1e-9);
+        let y0 = ring_y0(n);
+        let mut ws = Workspace::new();
+        let (want_obs, want_obs_stats) = solver
+            .integrate_observed(&serial, 0.0, &y0, 3.0, &mut ws, &mut NoObserver)
+            .unwrap();
+        let (want_sol, want_stats) = solver
+            .integrate_with(&serial, 0.0, &y0, 3.0, &mut ws)
+            .unwrap();
+        for threads in 1..=4 {
+            let sys = RowRing::new(n, threads, None);
+            let (got_obs, got_obs_stats) = solver
+                .integrate_observed(&sys, 0.0, &y0, 3.0, &mut ws, &mut NoObserver)
+                .unwrap();
+            assert_eq!(got_obs_stats, want_obs_stats, "threads {threads}");
+            assert!(
+                got_obs
+                    .y_end
+                    .iter()
+                    .zip(&want_obs.y_end)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "threads {threads}: observed final state"
+            );
+            let (got_sol, got_stats) = solver.integrate_with(&sys, 0.0, &y0, 3.0, &mut ws).unwrap();
+            assert_eq!(got_stats, want_stats, "threads {threads}");
+            for k in 0..=30 {
+                let t = 0.1 * k as f64;
+                let (a, b) = (got_sol.sample(t), want_sol.sample(t));
+                assert!(
+                    a.iter().zip(&b).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "threads {threads}: dense output at t = {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn panic_in_a_step_job_propagates_and_the_team_survives() {
+        let n = 37;
+        let solver = Dopri5::new().rtol(1e-9).atol(1e-9);
+        let y0 = ring_y0(n);
+        let failing = RowRing::new(n, 3, Some(1.0));
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            solver.integrate_observed(
+                &failing,
+                0.0,
+                &y0,
+                3.0,
+                &mut Workspace::new(),
+                &mut NoObserver,
+            )
+        }));
+        let payload = res.expect_err("the worker panic reaches the caller");
+        assert!(payload
+            .downcast_ref::<String>()
+            .unwrap()
+            .starts_with("row failure"));
+        // The same team runs the next integration to completion.
+        let healthy = RowRing {
+            fail_from: None,
+            ..failing
+        };
+        let (got, _) = solver
+            .integrate_observed(
+                &healthy,
+                0.0,
+                &y0,
+                3.0,
+                &mut Workspace::new(),
+                &mut NoObserver,
+            )
+            .unwrap();
+        let (want, _) = solver
+            .integrate_observed(
+                &RowRing::new(n, 1, None),
+                0.0,
+                &y0,
+                3.0,
+                &mut Workspace::new(),
+                &mut NoObserver,
+            )
+            .unwrap();
+        assert_eq!(bits(&got.y_end), bits(&want.y_end));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -348,27 +348,6 @@ impl<S: Stepper> FixedStepSolver<S> {
             y_end: y.to_vec(),
         })
     }
-
-    /// Integrate an ensemble of initial conditions over the same span,
-    /// reusing one workspace across all members.
-    ///
-    /// Returns one trajectory per initial condition, in input order;
-    /// each is bitwise identical to the corresponding sequential
-    /// [`FixedStepSolver::integrate`] call. The first error aborts the
-    /// batch.
-    pub fn integrate_many<Sys: OdeSystem + ?Sized>(
-        &self,
-        sys: &Sys,
-        t0: f64,
-        inits: &[Vec<f64>],
-        t_end: f64,
-        ws: &mut Workspace,
-    ) -> Result<Vec<Trajectory>, OdeError> {
-        inits
-            .iter()
-            .map(|y0| self.integrate_with(sys, t0, y0, t_end, ws))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 //!   `integrate_observed` entry points' shared types: online observables
 //!   over long-horizon runs with **no** per-step trajectory storage.
 //! * [`workspace`] — reusable scratch memory ([`Workspace`]) for the
-//!   allocation-free `integrate_with`/`integrate_many` fast paths.
+//!   allocation-free `integrate_with`/`integrate_observed` fast paths.
 //!
 //! ## Performance model
 //!
@@ -44,9 +44,15 @@
 //! workspace per call — convenient for one-off runs. The `_with` variants
 //! are generic over the system (monomorphized right-hand side, no virtual
 //! dispatch) and borrow a caller-held [`Workspace`], so the step loop is
-//! allocation-free; `integrate_many` amortizes one workspace over a whole
-//! ensemble of initial conditions. Both paths produce bitwise identical
-//! results (asserted by the property-test suite).
+//! allocation-free. Both paths produce bitwise identical results
+//! (asserted by the property-test suite).
+//!
+//! A system that can evaluate its right-hand side by row blocks
+//! ([`OdeSystem::row_team`], [`OdeSystem::prepare_rows`],
+//! [`OdeSystem::eval_rows`]) lets [`Dopri5`] run each step attempt as one
+//! job on the system's thread team: every member combines, prepares and
+//! evaluates its own rows, with two barriers per stage. Results are
+//! bitwise identical to the serial path for every team size.
 //!
 //! ## Example
 //!
@@ -86,6 +92,10 @@ pub use observe::{NoObserver, ObserveEvery, ObservedSummary, StepObserver};
 pub use trajectory::Trajectory;
 pub use workspace::{ScratchPool, Workspace};
 
+use std::ops::Range;
+
+use pom_kernels::par::ChunkPool;
+
 /// Right-hand side of a first-order ODE system `ẏ = f(t, y)`.
 ///
 /// Implementations must be deterministic for a given `(t, y)`: adaptive
@@ -106,6 +116,58 @@ pub trait OdeSystem {
     /// Implementations must assign every component (`d[i] = …`, never
     /// `d[i] += …` on unwritten slots) and must not read `dydt`.
     fn eval(&self, t: f64, y: &[f64], dydt: &mut [f64]);
+
+    /// The thread team this system's rows are split across, if any.
+    ///
+    /// When this returns a team of more than one thread, adaptive solvers
+    /// run each step attempt as one [`ChunkPool::run_team`] job over
+    /// `0..dim` and evaluate the right-hand side through
+    /// [`OdeSystem::prepare_rows`] and [`OdeSystem::eval_rows`] of
+    /// [`RowTeam::sys`]; a system returning a team must implement both.
+    /// The default (`None`) keeps every solver on plain
+    /// [`OdeSystem::eval`].
+    fn row_team(&self) -> Option<RowTeam<'_>> {
+        None
+    }
+
+    /// Phase 1 of a row-split evaluation: compute whatever per-row state
+    /// `rows` of `y` contribute to other rows' derivatives (for the
+    /// oscillator model, `sin`/`cos` of the phases), into storage the
+    /// system owns. `y_rows` is `y[rows]`.
+    ///
+    /// # Safety
+    /// Call only from inside a [`ChunkPool::run_team`] job on
+    /// [`OdeSystem::row_team`] (the team runs one job at a time, which
+    /// gives the job exclusive use of the system's row storage), with
+    /// the `rows` of concurrent calls pairwise disjoint, and separate
+    /// every `prepare_rows` of an evaluation from every `eval_rows` of
+    /// it — and from the next evaluation's `prepare_rows` — by a
+    /// [`pom_kernels::par::TeamMember::barrier`].
+    unsafe fn prepare_rows(&self, _t: f64, _y_rows: &[f64], _rows: Range<usize>) {}
+
+    /// Phase 2 of a row-split evaluation: write `f(t, y)[rows]` into
+    /// `dydt_rows` (length `rows.len()`). May read all of `y` and the
+    /// state every member's [`OdeSystem::prepare_rows`] stored for the
+    /// same `(t, y)`. The per-row arithmetic must equal
+    /// [`OdeSystem::eval`]'s, so results do not depend on the split.
+    ///
+    /// # Safety
+    /// As for [`OdeSystem::prepare_rows`]; additionally every row of
+    /// `0..dim` must have been prepared for this `(t, y)`.
+    unsafe fn eval_rows(&self, _t: f64, _y: &[f64], _rows: Range<usize>, _dydt_rows: &mut [f64]) {
+        unimplemented!("a system with a row team must implement eval_rows")
+    }
+}
+
+/// A system's row team ([`OdeSystem::row_team`]): the threads, and the
+/// system as shared with them (the members call its row hooks
+/// concurrently, hence `Sync`).
+#[derive(Clone, Copy)]
+pub struct RowTeam<'a> {
+    /// The team; slot 0 is the thread driving the integration.
+    pub team: &'a ChunkPool,
+    /// The system whose `prepare_rows`/`eval_rows` the members call.
+    pub sys: &'a (dyn OdeSystem + Sync),
 }
 
 /// Adapter turning a closure `f(t, y, dydt)` into an [`OdeSystem`].
@@ -139,6 +201,15 @@ impl<S: OdeSystem + ?Sized> OdeSystem for &S {
     }
     fn eval(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
         (**self).eval(t, y, dydt)
+    }
+    fn row_team(&self) -> Option<RowTeam<'_>> {
+        (**self).row_team()
+    }
+    unsafe fn prepare_rows(&self, t: f64, y_rows: &[f64], rows: Range<usize>) {
+        (**self).prepare_rows(t, y_rows, rows)
+    }
+    unsafe fn eval_rows(&self, t: f64, y: &[f64], rows: Range<usize>, dydt_rows: &mut [f64]) {
+        (**self).eval_rows(t, y, rows, dydt_rows)
     }
 }
 

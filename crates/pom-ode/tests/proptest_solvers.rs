@@ -168,28 +168,6 @@ proptest! {
         }, h);
     }
 
-    /// `integrate_many` over an ensemble equals N sequential `integrate`
-    /// calls, bitwise, and preserves input order.
-    #[test]
-    fn integrate_many_matches_sequential(
-        a in -1.0f64..1.0,
-        inits in prop::collection::vec(0.1f64..5.0, 1..8),
-        h in 0.02f64..0.2,
-    ) {
-        let sys = linear_sys(a);
-        let solver = FixedStepSolver::new(Rk4, h).unwrap();
-        let ensemble: Vec<Vec<f64>> = inits.iter().map(|&y| vec![y]).collect();
-        let mut ws = Workspace::new();
-        let batched = solver
-            .integrate_many(&sys, 0.0, &ensemble, 2.0, &mut ws)
-            .unwrap();
-        prop_assert_eq!(batched.len(), ensemble.len());
-        for (y0, traj) in ensemble.iter().zip(&batched) {
-            let solo = solver.integrate(&sys, 0.0, y0, 2.0).unwrap();
-            prop_assert!(&solo == traj, "batched member diverged from sequential run");
-        }
-    }
-
     /// Dopri5: the monomorphized workspace path is bitwise identical to
     /// the dyn-dispatch wrapper — same accepted steps, same dense output.
     #[test]
